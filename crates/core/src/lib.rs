@@ -39,8 +39,8 @@
 //!
 //! Single sections (what the `vnet-serve` analysis service computes and
 //! caches) run through [`run_analysis_section`]; the pre-0.2.0
-//! `run_full_analysis`/`*_observed` entrypoints live on as deprecated
-//! shims in [`compat`] — see `docs/API.md` for the migration table.
+//! `run_full_analysis`/`*_observed` entrypoints are gone — see
+//! `docs/API.md` for the migration table.
 //!
 //! Module map (paper section → module):
 //!

@@ -276,7 +276,8 @@ pub fn run_analysis(dataset: &Dataset, opts: &AnalysisOptions, ctx: &AnalysisCtx
     let centrality = section::sec_centrality(dataset, opts, ctx);
     let activity = section::sec_activity(dataset, opts, ctx)
         .expect("activity analysis failed — series too short?");
-    let elite_core = section::sec_elite_core(dataset, opts, ctx);
+    let elite_core = section::sec_elite_core(dataset, opts, ctx)
+        .expect("elite-core analysis failed — graph larger than its profiles?");
     let categories = section::sec_categories(dataset, opts, ctx);
     AnalysisReport {
         dataset: dataset.summary(),

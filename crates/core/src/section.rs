@@ -285,9 +285,18 @@ pub(crate) fn sec_elite_core(
     ds: &Dataset,
     _opts: &AnalysisOptions,
     ctx: &AnalysisCtx,
-) -> EliteCoreReport {
+) -> Result<EliteCoreReport> {
     let _span = ctx.span("analysis.elite_core");
-    elite_core_analysis(ds)
+    // Core bands average per-node follower counts, so every graph node
+    // needs a profile; a graph grown past its profiles (planted sybils,
+    // churn-added users) has none for the newcomers.
+    let (nodes, profiles) = (ds.graph.node_count(), ds.profiles.len());
+    if profiles < nodes {
+        return Err(VnetError::InvalidInput(format!(
+            "elite_core needs a profile for every node: {nodes} nodes, {profiles} profiles"
+        )));
+    }
+    Ok(elite_core_analysis(ds))
 }
 
 pub(crate) fn sec_categories(
@@ -321,7 +330,7 @@ pub fn run_analysis_section(
         Section::Bios => SectionReport::Bios(sec_bios(dataset, opts, ctx)),
         Section::Centrality => SectionReport::Centrality(sec_centrality(dataset, opts, ctx)),
         Section::Activity => SectionReport::Activity(sec_activity(dataset, opts, ctx)?),
-        Section::EliteCore => SectionReport::EliteCore(sec_elite_core(dataset, opts, ctx)),
+        Section::EliteCore => SectionReport::EliteCore(sec_elite_core(dataset, opts, ctx)?),
         Section::Categories => SectionReport::Categories(sec_categories(dataset, opts, ctx)),
     })
 }

@@ -21,14 +21,16 @@
 //! socket read timeouts without discarding buffered partial requests, so
 //! arbitrarily slow writers are safe. Each registered snapshot is a
 //! **shard** with its own fixed worker-pool [`Executor`] (bounded queue,
-//! `Condvar` scheduling — refusals get a structured `queue_full` reply),
-//! its own LRU result cache, and its own single-flight map: one leader
-//! computes each section, every coalesced waiter fans out the same bytes
-//! (`serve.coalesced` counts them), and a hot snapshot saturates only its
-//! own queue. In front of the router sits an optional [`Admission`] gate
-//! that mirrors `twittersim`'s rate-limit windows per client id: over
-//! quota means a `rate_limited` reply with a deterministic
-//! `retry_after_ms` hint, and rejected requests consume no quota.
+//! `Condvar` scheduling — refusals get a structured `queue_full` reply)
+//! and its own section cache — an LRU with single-flight coalescing: one
+//! leader computes each section, every coalesced waiter fans out the same
+//! bytes (`serve.coalesced` counts them), and a hot snapshot saturates
+//! only its own queue. `analyze` and `detect` share one request pipeline
+//! (admission → shard → executor → timeout). In front of the router sits
+//! an optional [`Admission`] gate that mirrors `twittersim`'s rate-limit
+//! windows per client id: over quota means a `rate_limited` reply with
+//! a deterministic `retry_after_ms` hint, and rejected requests consume
+//! no quota.
 //! Shutdown drains every shard's executor on its quiescence condvar and
 //! joins every worker and connection thread — the server leaks no
 //! threads.
@@ -36,10 +38,9 @@
 //! ## Wire protocol
 //!
 //! One JSON object per line in each direction (see `docs/API.md` for the
-//! full schema). The current envelope is versioned — `{"v":1,"cmd":...}`
-//! — and v1 rejects unknown keys with a structured `invalid_input`
-//! error; unversioned lines still work but their replies carry a
-//! `deprecation` note. Requests carry a `"cmd"` key:
+//! full schema). Every request carries the v1 envelope —
+//! `{"v":1,"cmd":...}` — and a line without `"v":1` or with unknown keys
+//! gets a structured `invalid_input` error. Requests carry a `"cmd"` key:
 //!
 //! | cmd        | fields                                                    |
 //! |------------|-----------------------------------------------------------|
@@ -48,6 +49,7 @@
 //! |            | a deterministic churn timeline for time travel            |
 //! | `analyze`  | `snapshot`, `sections` (ids), optional `options`,         |
 //! |            | `client`, and `as_of` (churn day to time-travel to)       |
+//! | `detect`   | `snapshot`, optional `client`, `as_of`, `top_k`           |
 //! | `status`   | optional `snapshot` (one shard's detail)                  |
 //! | `metrics`  | optional `snapshot`, optional `format` (`json`\|`prom`)   |
 //! | `watch`    | optional `snapshot`, `interval_ms`, `frames`              |
@@ -91,7 +93,6 @@ mod admission;
 mod cache;
 mod conn;
 mod executor;
-mod flight;
 mod framing;
 mod monitor;
 mod protocol;
@@ -100,14 +101,12 @@ mod shards;
 mod stats;
 
 pub use admission::{Admission, AdmissionClock, AdmissionPolicy, RateWindow};
-pub use cache::{CacheKey, CachedSection, ResultCache};
 pub use executor::{CancelToken, Executor, ExecutorTelemetry, JobHandle, SubmitRefusal};
 pub use framing::{Frame, LineReader, MAX_LINE_BYTES};
 pub use monitor::{MonitorAlert, MonitorSample, SelfMonitorConfig};
 pub use protocol::{
-    parse_request, ChurnSpec, MetricsFormat, ParsedRequest, RegisterSource, Request,
-    DEPRECATION_NOTE, MAX_CHURN_DAYS, PROTOCOL_VERSION, WATCH_MAX_FRAMES,
-    WATCH_MAX_INTERVAL_MS, WATCH_MIN_INTERVAL_MS,
+    parse_request, ChurnSpec, MetricsFormat, RegisterSource, Request, MAX_CHURN_DAYS,
+    PROTOCOL_VERSION, WATCH_MAX_FRAMES, WATCH_MAX_INTERVAL_MS, WATCH_MIN_INTERVAL_MS,
 };
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use stats::STAGES;

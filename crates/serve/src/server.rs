@@ -5,16 +5,16 @@
 //! **admission → shard router → executor**. One registered thread per
 //! connection frames request lines through [`crate::framing::LineReader`]
 //! (slow writers keep their partial bytes across read-timeout ticks);
-//! `analyze` requests first pass the per-client token-bucket
-//! [`Admission`] gate (`rate_limited` + deterministic `retry_after_ms`
-//! on rejection, mirroring `twittersim`'s window semantics), then route
-//! to their snapshot's [`Shard`] — each shard owns a bounded-queue
-//! worker-pool [`Executor`] (refusals get `queue_full`), an LRU section
-//! cache, and a single-flight map, so a hot snapshot cannot starve the
-//! others. Shutdown is event-driven — every shard drains on its
-//! executor's quiescence condvar, a loopback wake replaces accept
-//! polling, and every worker and connection thread is joined before the
-//! listener dies.
+//! `analyze` and `detect` requests share one pipeline ([`submit`]): the
+//! per-client token-bucket [`Admission`] gate (`rate_limited` +
+//! deterministic `retry_after_ms` on rejection, mirroring `twittersim`'s
+//! window semantics), then the route to their snapshot's [`Shard`] —
+//! each shard owns a bounded-queue worker-pool [`Executor`] (refusals get
+//! `queue_full`) and a single-flight LRU section cache, so a hot snapshot
+//! cannot starve the others. Shutdown is event-driven — every shard
+//! drains on its executor's quiescence condvar, a loopback wake replaces
+//! accept polling, and every worker and connection thread is joined
+//! before the listener dies.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,7 +28,7 @@ use verified_net::{
 };
 use vnet_detect::{evaluate, run_detection, DetectConfig, DetectInput};
 use vnet_graph::NodeId;
-use vnet_obs::{fingerprint_str, render_prometheus_parts, Obs, Telemetry};
+use vnet_obs::{fingerprint_str, render_prometheus_parts, CounterId, Obs, Telemetry};
 use vnet_par::ParPool;
 use vnet_synth::{
     inject_sybil, ChurnConfig, ChurnEvent, ChurnStream, SybilConfig, SybilWorkload,
@@ -36,14 +36,12 @@ use vnet_synth::{
 use vnet_temporal::{EngineConfig, Timeline};
 
 use crate::admission::{Admission, AdmissionClock, AdmissionPolicy};
-use crate::cache::{CacheKey, CachedSection};
+use crate::cache::{CacheKey, CachedSection, Outcome, Source};
 use crate::conn::{ConnRegistry, READ_TICK};
 use crate::executor::{CancelToken, SubmitRefusal};
-use crate::flight::Role;
 use crate::monitor::{MonitorSample, SelfMonitor, SelfMonitorConfig};
 use crate::protocol::{
-    add_deprecation_note, error_reply, json_str, parse_request, ChurnSpec, MetricsFormat,
-    RegisterSource, Request,
+    error_reply, json_str, parse_request, ChurnSpec, MetricsFormat, RegisterSource, Request,
 };
 use crate::shards::{Shard, ShardRegistry, SnapshotData, SybilState, TemporalState};
 use crate::stats::ServeStats;
@@ -316,52 +314,42 @@ pub(crate) struct WatchParams {
 
 /// Dispatch one request line.
 pub(crate) fn handle_line(shared: &Arc<Shared>, line: &str) -> Dispatch {
-    let parsed = match parse_request(line) {
-        Ok(p) => p,
+    let request = match parse_request(line) {
+        Ok(request) => request,
         Err(e) => {
             shared.obs.inc_by("serve.bad_requests", &[], 1);
             return Dispatch::Reply(error_reply(&e));
         }
     };
-    let versioned = parsed.versioned;
-    if !versioned {
-        shared.obs.inc_by("serve.legacy_requests", &[], 1);
-    }
-    // Legacy (unversioned) envelopes keep working but their direct
-    // replies carry a `deprecation` field pointing at the v1 grammar.
-    // Watch acks are streamed frames and stay unannotated (docs/API.md).
-    let noted = |dispatch: Dispatch| -> Dispatch {
-        if versioned {
-            return dispatch;
-        }
-        match dispatch {
-            Dispatch::Reply(r) => Dispatch::Reply(add_deprecation_note(&r)),
-            Dispatch::ReplyThenStop(r) => Dispatch::ReplyThenStop(add_deprecation_note(&r)),
-            other => other,
-        }
-    };
-    match parsed.request {
+    match request {
         Request::Register { name, source, churn, sybil } => {
-            noted(Dispatch::Reply(handle_register(shared, &name, source, churn, sybil)))
+            Dispatch::Reply(handle_register(shared, &name, source, churn, sybil))
         }
-        Request::Analyze { snapshot, sections, options, client, as_of } => noted(
-            Dispatch::Reply(handle_analyze(shared, &snapshot, sections, options, &client, as_of)),
-        ),
+        Request::Analyze { snapshot, sections, options, client, as_of } => {
+            let job = move |shared: &Shared, shard: &Shard, data: &SnapshotData, cancel: &_| {
+                compute_reply(shared, shard, data, as_of, &sections, &options, cancel)
+            };
+            Dispatch::Reply(submit(shared, &client, &snapshot, None, job))
+        }
         Request::Detect { snapshot, client, as_of, top_k } => {
-            noted(Dispatch::Reply(handle_detect(shared, &snapshot, &client, as_of, top_k)))
+            let job = move |shared: &Shared, shard: &Shard, data: &SnapshotData, cancel: &_| {
+                compute_detect_reply(shared, shard, data, as_of, top_k, cancel)
+            };
+            let detects = Some(shared.stats.detect_requests);
+            Dispatch::Reply(submit(shared, &client, &snapshot, detects, job))
         }
         Request::Status { snapshot } => {
-            noted(Dispatch::Reply(handle_status(shared, snapshot.as_deref())))
+            Dispatch::Reply(handle_status(shared, snapshot.as_deref()))
         }
         Request::Metrics { snapshot, format } => {
-            noted(Dispatch::Reply(handle_metrics(shared, snapshot.as_deref(), format)))
+            Dispatch::Reply(handle_metrics(shared, snapshot.as_deref(), format))
         }
         Request::Watch { snapshot, interval_ms, frames } => {
             if let Some(name) = &snapshot {
                 if shared.shards.get(name).is_none() {
-                    return noted(Dispatch::Reply(error_reply(&VnetError::UnknownSnapshot(
+                    return Dispatch::Reply(error_reply(&VnetError::UnknownSnapshot(
                         name.clone(),
-                    ))));
+                    )));
                 }
             }
             shared.obs.inc_by("serve.watch_sessions", &[], 1);
@@ -373,7 +361,7 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, line: &str) -> Dispatch {
         }
         Request::Shutdown => {
             drain_and_stop(shared);
-            noted(Dispatch::ReplyThenStop("{\"ok\":true,\"drained\":true}".to_string()))
+            Dispatch::ReplyThenStop("{\"ok\":true,\"drained\":true}".to_string())
         }
     }
 }
@@ -461,14 +449,11 @@ fn build_temporal(
         TIMELINE_CHECKPOINT_STRIDE,
         &shared.ctx,
     );
-    let state = TemporalState::new(timeline, seed);
-    Ok(match workload {
-        None => state,
-        Some(w) => {
-            let daily = collect_daily_follows(dataset, churn_config, w, spec.days);
-            state.with_sybil(SybilState::new(w.labels.clone(), daily))
-        }
-    })
+    let sybil = workload.map(|w| {
+        let daily = collect_daily_follows(dataset, churn_config, w, spec.days);
+        SybilState::new(w.labels.clone(), daily)
+    });
+    Ok(TemporalState::new(timeline, seed, sybil))
 }
 
 /// Replay the (deterministic) churn stream once more to record each day's
@@ -574,25 +559,30 @@ fn handle_register(
     )
 }
 
-fn handle_analyze(
+/// The request pipeline every compute command shares: shutdown check →
+/// admission → shard router → the shard's bounded executor → wait with
+/// the request timeout. `job` runs on a shard worker with the shard and
+/// its dataset as of submission; `admitted` names one more counter to
+/// bump when the executor takes the job (the command's own tally).
+fn submit<F>(
     shared: &Arc<Shared>,
-    snapshot: &str,
-    sections: Vec<Section>,
-    options: AnalysisOptions,
     client: &str,
-    as_of: Option<u32>,
-) -> String {
+    snapshot: &str,
+    admitted: Option<CounterId>,
+    job: F,
+) -> String
+where
+    F: FnOnce(&Shared, &Shard, &SnapshotData, &CancelToken) -> String + Send + 'static,
+{
     if shared.shutting_down.load(Ordering::SeqCst) {
         return error_reply(&VnetError::ShuttingDown);
     }
+    let stats = &shared.stats;
     // Gate 1 — admission control, before any routing or queueing:
     // over-quota clients are turned away at the front door with a
     // deterministic retry hint, exactly like the simulated API's
-    // rate-limit windows (rejections consume no quota). Recording goes
-    // through interned telemetry handles: this path runs for every
-    // analyze request, so it must not serialize on the registry mutex.
+    // rate-limit windows (rejections consume no quota).
     if let Some(admission) = &shared.admission {
-        let stats = &shared.stats;
         let admission_started = Instant::now();
         let verdict = admission.try_admit(client);
         stats.observe_stage(&stats.stage_admission, admission_started);
@@ -603,21 +593,19 @@ fn handle_analyze(
         }
     }
     // Gate 2 — the shard router.
-    let shard = match shared.shards.get(snapshot) {
-        Some(s) => s,
-        None => return error_reply(&VnetError::UnknownSnapshot(snapshot.to_string())),
+    let Some(shard) = shared.shards.get(snapshot) else {
+        return error_reply(&VnetError::UnknownSnapshot(snapshot.to_string()));
     };
-    let data = shard.data();
     // Gate 3 — bounded admission into the shard's own executor: the
     // queue takes the job or refuses outright — a refused client can
     // back off; an unbounded queue can only fall over. Saturation here
     // is scoped to this shard; other snapshots keep their own slots.
+    let data = shard.data();
     let worker_shared = Arc::clone(shared);
     let worker_shard = Arc::clone(&shard);
-    let submitted = shard.executor.submit(move |cancel| {
-        compute_reply(&worker_shared, &worker_shard, &data, as_of, &sections, &options, cancel)
-    });
-    let stats = &shared.stats;
+    let submitted = shard
+        .executor
+        .submit(move |cancel| job(&worker_shared, &worker_shard, &data, cancel));
     let handle = match submitted {
         Ok(h) => h,
         Err(SubmitRefusal::Saturated { in_flight, limit }) => {
@@ -625,105 +613,98 @@ fn handle_analyze(
             stats.telemetry.inc(shard.stats.rejected_queue_full);
             return error_reply(&VnetError::QueueFull { in_flight, limit });
         }
-        Err(SubmitRefusal::ShuttingDown) => {
-            return error_reply(&VnetError::ShuttingDown);
-        }
+        Err(SubmitRefusal::ShuttingDown) => return error_reply(&VnetError::ShuttingDown),
     };
     stats.telemetry.inc(stats.requests);
     stats.telemetry.inc(stats.admitted);
     stats.telemetry.inc(shard.stats.requests);
-    let budget = Duration::from_millis(shared.config.request_timeout_millis);
-    match handle.wait_timeout(budget) {
+    if let Some(counter) = admitted {
+        stats.telemetry.inc(counter);
+    }
+    match handle.wait_timeout(Duration::from_millis(shared.config.request_timeout_millis)) {
         Some(reply) => reply,
         None => {
-            // Flag cancellation: the job stops at its next section
-            // boundary (completed sections have already warmed the cache)
-            // instead of burning CPU invisibly.
+            // Flag cancellation: the job stops at its next cache lookup
+            // (completed lookups have already warmed the caches) instead
+            // of burning CPU invisibly.
             handle.cancel();
-            shared.obs.inc_by("serve.rejected{reason=timeout}", &[], 1);
-            error_reply(&VnetError::Timeout { millis: shared.config.request_timeout_millis })
+            stats.telemetry.inc(stats.rejected_timeout);
+            timeout_reply(shared)
         }
     }
 }
 
+fn timeout_reply(shared: &Shared) -> String {
+    error_reply(&VnetError::Timeout { millis: shared.config.request_timeout_millis })
+}
+
+/// A job that found its cancellation flag set: count it and stop.
+fn cancelled(shared: &Shared) -> String {
+    shared.stats.telemetry.inc(shared.stats.cancelled_jobs);
+    timeout_reply(shared)
+}
+
+/// The dataset as of churn `day`, counting a fresh materialization.
+fn resolve_day(
+    shared: &Shared,
+    temporal: &TemporalState,
+    day: u32,
+    base: &SnapshotData,
+) -> Outcome<SnapshotData> {
+    let (source, data) = temporal.day_data(day, base);
+    if matches!(source, Source::Computed { .. }) && data.is_ok() {
+        shared.stats.telemetry.inc(shared.stats.asof_materializations);
+    }
+    data
+}
+
 /// Fetch one section from the shard's cache, or compute it under
-/// single-flight coalescing: the first worker to miss becomes the leader
-/// and computes; concurrent workers for the same key follow the open
-/// flight and share the leader's bytes (`serve.coalesced` counts the
-/// followers). Cache and flight state are per-shard; counters are
-/// recorded both globally and under the shard's label.
+/// single-flight coalescing (`serve.coalesced` counts the followers).
+/// Counters are recorded both globally and under the shard's label.
 fn section_bytes(
     shared: &Shared,
     shard: &Shard,
     data: &SnapshotData,
     key: CacheKey,
     options: &AnalysisOptions,
-) -> Result<Arc<CachedSection>, String> {
+) -> Outcome<CachedSection> {
+    let (source, outcome) = shard.cache.get_or_compute(key, || {
+        let payload = run_analysis_section(&data.dataset, key.section, options, &shared.ctx)
+            .map_err(|e| error_reply(&e))?;
+        let payload_json = serde_json::to_string(&payload).expect("section payloads serialize");
+        let fingerprint = fingerprint_str(&payload_json);
+        Ok(CachedSection { payload_json, fingerprint })
+    });
     let stats = &shared.stats;
-    let shard_label: &[(&str, &str)] = &[("shard", &shard.name)];
-    if let Some(hit) = shard.cache.lock().expect("cache lock").get(&key) {
-        stats.telemetry.inc(stats.cache_hits);
-        stats.telemetry.inc(shard.stats.hits);
-        if key.day.is_some() {
-            stats.telemetry.inc(stats.asof_cache_hits);
+    match source {
+        Source::Hit => {
+            stats.telemetry.inc(stats.cache_hits);
+            stats.telemetry.inc(shard.stats.hits);
+            if key.day.is_some() {
+                stats.telemetry.inc(stats.asof_cache_hits);
+            }
         }
-        return Ok(hit);
-    }
-    match shard.flights.begin(key) {
-        Role::Follower(flight) => {
+        Source::Follower => {
             stats.telemetry.inc(stats.coalesced);
             stats.telemetry.inc(shard.stats.coalesced);
-            flight.wait()
         }
-        Role::Leader(guard) => {
-            // Re-check under leadership: a previous leader may have
-            // populated the cache between our miss and our begin().
-            if let Some(hit) = shard.cache.lock().expect("cache lock").get(&key) {
-                stats.telemetry.inc(stats.cache_hits);
-                stats.telemetry.inc(shard.stats.hits);
-                if key.day.is_some() {
-                    stats.telemetry.inc(stats.asof_cache_hits);
-                }
-                guard.publish(Ok(Arc::clone(&hit)));
-                return Ok(hit);
-            }
-            shared.obs.inc_by("cache.misses", &[], 1);
-            shared.obs.inc("cache.misses", shard_label);
-            let payload =
-                match run_analysis_section(&data.dataset, key.section, options, &shared.ctx) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        let reply = error_reply(&e);
-                        guard.publish(Err(reply.clone()));
-                        return Err(reply);
-                    }
-                };
-            let payload_json =
-                serde_json::to_string(&payload).expect("section payloads serialize");
-            let fingerprint = fingerprint_str(&payload_json);
-            let value = Arc::new(CachedSection { payload_json, fingerprint });
-            {
-                let mut cache = shard.cache.lock().expect("cache lock");
-                let evicted = cache.insert(key, Arc::clone(&value));
+        Source::Computed { evicted } => {
+            stats.telemetry.inc(stats.cache_misses);
+            stats.telemetry.inc(shard.stats.misses);
+            if outcome.is_ok() {
+                let shard_label: &[(&str, &str)] = &[("shard", &shard.name)];
                 if evicted > 0 {
                     shared.obs.inc_by("cache.evictions", &[], evicted as u64);
                     shared.obs.inc_by("cache.evictions", shard_label, evicted as u64);
                 }
-                shared.obs.set_counter("cache.entries", shard_label, cache.len() as u64);
+                shared.obs.set_counter("cache.entries", shard_label, shard.cache.len() as u64);
+                // The unlabelled total sums every shard's section cache.
+                let total: usize = shared.shards.all().iter().map(|s| s.cache.len()).sum();
+                shared.obs.set_counter("cache.entries", &[], total as u64);
             }
-            // The unlabelled total sums every shard's cache (locks taken
-            // one at a time, after this shard's guard is released).
-            let total: usize = shared
-                .shards
-                .all()
-                .iter()
-                .map(|s| s.cache.lock().expect("cache lock").len())
-                .sum();
-            shared.obs.set_counter("cache.entries", &[], total as u64);
-            guard.publish(Ok(Arc::clone(&value)));
-            Ok(value)
         }
     }
+    outcome
 }
 
 /// Compute (or fetch) every requested section and assemble the reply.
@@ -740,7 +721,7 @@ fn compute_reply(
 ) -> String {
     // Time-travel: swap in the day-`as_of` dataset. Resolution happens
     // here, on the executor worker, so a cold replay is covered by the
-    // request timeout and cancellable like any other heavy work.
+    // request timeout like any other heavy work.
     let day_data: Arc<SnapshotData>;
     let data: &SnapshotData = match as_of {
         None => base,
@@ -751,15 +732,12 @@ fn compute_reply(
                     shard.name,
                 )));
             };
-            match temporal.day_data(day, base) {
-                Ok((resolved, materialized)) => {
-                    if materialized {
-                        shared.stats.telemetry.inc(shared.stats.asof_materializations);
-                    }
+            match resolve_day(shared, &temporal, day, base) {
+                Ok(resolved) => {
                     day_data = resolved;
                     &day_data
                 }
-                Err(e) => return error_reply(&e),
+                Err(reply) => return reply,
             }
         }
     };
@@ -769,10 +747,7 @@ fn compute_reply(
         if cancel.is_cancelled() {
             // The waiter is gone (request timeout); stop doing work. Any
             // sections already computed have warmed the cache.
-            shared.obs.inc_by("serve.cancelled_jobs", &[], 1);
-            return error_reply(&VnetError::Timeout {
-                millis: shared.config.request_timeout_millis,
-            });
+            return cancelled(shared);
         }
         let key =
             CacheKey { dataset: data.fingerprint, options: opts_fp, section, day: as_of };
@@ -799,73 +774,12 @@ fn compute_reply(
     )
 }
 
-/// `detect`: the same admission → shard-router → executor path as
-/// `analyze`, running the sybil-detection pipeline instead of analysis
-/// sections. Requires the snapshot to have been registered with
-/// `sybil:true` (and therefore `churn_days`).
-fn handle_detect(
-    shared: &Arc<Shared>,
-    snapshot: &str,
-    client: &str,
-    as_of: Option<u32>,
-    top_k: usize,
-) -> String {
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        return error_reply(&VnetError::ShuttingDown);
-    }
-    if let Some(admission) = &shared.admission {
-        let stats = &shared.stats;
-        let admission_started = Instant::now();
-        let verdict = admission.try_admit(client);
-        stats.observe_stage(&stats.stage_admission, admission_started);
-        if let Err(retry_after_ms) = verdict {
-            stats.telemetry.inc(stats.rejected_rate_limited);
-            stats.telemetry.observe(&stats.retry_after_ms, retry_after_ms);
-            return error_reply(&VnetError::RateLimited { retry_after_ms });
-        }
-    }
-    let shard = match shared.shards.get(snapshot) {
-        Some(s) => s,
-        None => return error_reply(&VnetError::UnknownSnapshot(snapshot.to_string())),
-    };
-    let data = shard.data();
-    let worker_shared = Arc::clone(shared);
-    let worker_shard = Arc::clone(&shard);
-    let submitted = shard.executor.submit(move |cancel| {
-        compute_detect_reply(&worker_shared, &worker_shard, &data, as_of, top_k, cancel)
-    });
-    let stats = &shared.stats;
-    let handle = match submitted {
-        Ok(h) => h,
-        Err(SubmitRefusal::Saturated { in_flight, limit }) => {
-            stats.telemetry.inc(stats.rejected_queue_full);
-            stats.telemetry.inc(shard.stats.rejected_queue_full);
-            return error_reply(&VnetError::QueueFull { in_flight, limit });
-        }
-        Err(SubmitRefusal::ShuttingDown) => {
-            return error_reply(&VnetError::ShuttingDown);
-        }
-    };
-    stats.telemetry.inc(stats.requests);
-    stats.telemetry.inc(stats.admitted);
-    stats.telemetry.inc(shard.stats.requests);
-    shared.obs.inc_by("serve.detect_requests", &[], 1);
-    let budget = Duration::from_millis(shared.config.request_timeout_millis);
-    match handle.wait_timeout(budget) {
-        Some(reply) => reply,
-        None => {
-            handle.cancel();
-            shared.obs.inc_by("serve.rejected{reason=timeout}", &[], 1);
-            error_reply(&VnetError::Timeout { millis: shared.config.request_timeout_millis })
-        }
-    }
-}
-
-/// Run (or serve from the per-shard detect cache) the detection pipeline
-/// as of churn day `as_of` (default: the full horizon). Runs on a shard
-/// executor worker. The cache key is `(day, top_k)` — the base dataset,
-/// planted workload, and churn replay are all fixed at registration, so
-/// day and reply depth are the only free inputs.
+/// Run (or serve from the sybil shard's reply cache) the detection
+/// pipeline as of churn day `as_of` (default: the full horizon). Runs on
+/// a shard executor worker. The cache key is `(day, top_k)` — the base
+/// dataset, planted workload, and churn replay are all fixed at
+/// registration, so day and reply depth are the only free inputs.
+/// Requires the snapshot to have been registered with `sybil:true`.
 fn compute_detect_reply(
     shared: &Shared,
     shard: &Shard,
@@ -874,17 +788,14 @@ fn compute_detect_reply(
     top_k: usize,
     cancel: &CancelToken,
 ) -> String {
-    let no_workload = || {
-        error_reply(&VnetError::InvalidInput(format!(
+    let temporal = shard.temporal();
+    let Some((temporal, sybil)) =
+        temporal.as_ref().and_then(|t| t.sybil.as_ref().map(|s| (t, s)))
+    else {
+        return error_reply(&VnetError::InvalidInput(format!(
             "snapshot '{}' has no sybil workload; register it with \"sybil\":true and churn_days",
             shard.name,
-        )))
-    };
-    let Some(temporal) = shard.temporal() else {
-        return no_workload();
-    };
-    let Some(sybil) = temporal.sybil.as_ref() else {
-        return no_workload();
+        )));
     };
     let horizon = temporal.timeline.days();
     let day = as_of.unwrap_or(horizon);
@@ -893,46 +804,41 @@ fn compute_detect_reply(
             "as_of day {day} is beyond the churn horizon ({horizon} days)"
         )));
     }
-    let envelope = |value: &CachedSection| {
-        format!(
+    if cancel.is_cancelled() {
+        return cancelled(shared);
+    }
+    let (source, outcome) = sybil.replies.get_or_compute((day, top_k), || {
+        let data = resolve_day(shared, temporal, day, base)?;
+        let input = DetectInput {
+            graph: &data.dataset.graph,
+            daily_follows: &sybil.daily_follows[..day as usize],
+        };
+        let report = run_detection(&input, &DetectConfig::default(), &shared.ctx);
+        let eval = evaluate(&report, &sybil.labels.sybils());
+        let payload_json = render_detect_payload(&report, &eval, data.fingerprint, top_k);
+        let fingerprint = fingerprint_str(&payload_json);
+        Ok(CachedSection { payload_json, fingerprint })
+    });
+    let stats = &shared.stats;
+    match source {
+        Source::Hit => {
+            stats.telemetry.inc(stats.cache_hits);
+            stats.telemetry.inc(shard.stats.hits);
+        }
+        Source::Follower => {}
+        Source::Computed { .. } => stats.telemetry.inc(stats.cache_misses),
+    }
+    match outcome {
+        Ok(value) => format!(
             "{{\"ok\":true,\"snapshot\":{},\"as_of\":{},\"top_k\":{},\"fingerprint\":{},\"detect\":{}}}",
             json_str(&shard.name),
             day,
             top_k,
             value.fingerprint,
             value.payload_json,
-        )
-    };
-    if let Some(hit) = sybil.cached(day, top_k) {
-        shared.stats.telemetry.inc(shared.stats.cache_hits);
-        shared.stats.telemetry.inc(shard.stats.hits);
-        return envelope(&hit);
+        ),
+        Err(reply) => reply,
     }
-    if cancel.is_cancelled() {
-        shared.obs.inc_by("serve.cancelled_jobs", &[], 1);
-        return error_reply(&VnetError::Timeout {
-            millis: shared.config.request_timeout_millis,
-        });
-    }
-    shared.obs.inc_by("cache.misses", &[], 1);
-    let (data, materialized) = match temporal.day_data(day, base) {
-        Ok(resolved) => resolved,
-        Err(e) => return error_reply(&e),
-    };
-    if materialized {
-        shared.stats.telemetry.inc(shared.stats.asof_materializations);
-    }
-    let input = DetectInput {
-        graph: &data.dataset.graph,
-        daily_follows: &sybil.daily_follows[..day as usize],
-    };
-    let report = run_detection(&input, &DetectConfig::default(), &shared.ctx);
-    let eval = evaluate(&report, &sybil.labels.sybils());
-    let payload_json = render_detect_payload(&report, &eval, data.fingerprint, top_k);
-    let fingerprint = fingerprint_str(&payload_json);
-    let value = Arc::new(CachedSection { payload_json, fingerprint });
-    sybil.insert(day, top_k, Arc::clone(&value));
-    envelope(&value)
 }
 
 /// Deterministic JSON rendering of a detection run: the fit parameters,
@@ -1023,8 +929,8 @@ fn shard_status_json(shard: &Shard) -> String {
         shard.executor.workers(),
         queued,
         running,
-        shard.flights.open_count(),
-        shard.cache.lock().expect("cache lock").len(),
+        shard.cache.open_flights(),
+        shard.cache.len(),
         temporal,
     )
 }
@@ -1050,8 +956,8 @@ fn handle_status(shared: &Shared, snapshot: Option<&str>) -> String {
         let (q, r) = shard.executor.in_flight();
         queued += q;
         running += r;
-        flights += shard.flights.open_count();
-        cache_entries += shard.cache.lock().expect("cache lock").len();
+        flights += shard.cache.open_flights();
+        cache_entries += shard.cache.len();
         shard_parts.push(shard_status_json(shard));
     }
     // With self-monitoring on, the global status carries the ring size
@@ -1097,10 +1003,7 @@ pub(crate) fn metric_maps(
     std::collections::BTreeMap<String, f64>,
 ) {
     let metrics = shared.obs.metrics();
-    let keep = |k: &str| match snapshot {
-        Some(name) => has_shard_label(k, name),
-        None => true,
-    };
+    let keep = |k: &String| snapshot.is_none_or(|name| has_shard_label(k, name));
     let counters = metrics.counters().into_iter().filter(|(k, _)| keep(k)).collect();
     let gauges = metrics.gauges().into_iter().filter(|(k, _)| keep(k)).collect();
     (counters, gauges)
@@ -1117,14 +1020,10 @@ fn handle_metrics(shared: &Shared, snapshot: Option<&str>, format: MetricsFormat
         // the reply stays one line on the wire. Histograms are included
         // here (the JSON format predates them and keeps its exact
         // shape).
-        let metrics = shared.obs.metrics();
-        let keep = |k: &str| match snapshot {
-            Some(name) => has_shard_label(k, name),
-            None => true,
-        };
-        let counters = metrics.counters().into_iter().filter(|(k, _)| keep(k)).collect();
-        let gauges = metrics.gauges().into_iter().filter(|(k, _)| keep(k)).collect();
-        let histograms = metrics.histograms().into_iter().filter(|(k, _)| keep(k)).collect();
+        let (counters, gauges) = metric_maps(shared, snapshot);
+        let histograms = (shared.obs.metrics().histograms().into_iter())
+            .filter(|(k, _)| snapshot.is_none_or(|name| has_shard_label(k, name)))
+            .collect();
         let body = render_prometheus_parts(&counters, &gauges, &histograms);
         return format!("{{\"ok\":true,\"format\":\"prom\",\"body\":{}}}", json_str(&body));
     }

@@ -1,12 +1,14 @@
 //! The sharded snapshot registry.
 //!
 //! Every registered snapshot name is a **shard**: its own bounded-queue
-//! worker-pool [`Executor`], its own LRU [`ResultCache`], and its own
-//! single-flight [`FlightMap`]. Work for one snapshot therefore queues,
-//! caches, and coalesces entirely inside its shard — a hot snapshot can
-//! saturate its own queue (`queue_full` for *its* clients) without
-//! starving requests to any other snapshot, which is the isolation
-//! property `tests/tests/serve_shards.rs` pins.
+//! worker-pool [`Executor`] and its own section [`FlightCache`] (an LRU
+//! with single-flight coalescing). Work for one snapshot therefore
+//! queues, caches, and coalesces entirely inside its shard — a hot
+//! snapshot can saturate its own queue (`queue_full` for *its* clients)
+//! without starving requests to any other snapshot, which is the
+//! isolation property `tests/tests/serve_shards.rs` pins. Temporal and
+//! sybil shards keep two more caches of the same type: materialized day
+//! graphs and rendered `detect` replies.
 //!
 //! Re-registering a name swaps the dataset inside the existing shard and
 //! keeps its pools warm; stale cache entries age out by LRU because cache
@@ -25,15 +27,20 @@ use vnet_obs::Obs;
 use vnet_synth::PlantedLabels;
 use vnet_temporal::Timeline;
 
-use crate::cache::{CachedSection, ResultCache};
+use crate::cache::{CacheKey, CachedSection, FlightCache, Outcome, Source};
 use crate::executor::{Executor, ExecutorTelemetry};
-use crate::flight::FlightMap;
+use crate::protocol::error_reply;
 use crate::stats::{ServeStats, ShardStats};
 
 /// Materialized day-graphs kept hot per temporal shard. Small on purpose:
 /// each entry is a full CSR + profiles clone; the section cache above it
 /// is what absorbs repeat traffic.
 const DAY_CACHE_CAPACITY: usize = 4;
+
+/// Rendered `detect` payloads kept per sybil shard, keyed `(day, top_k)`.
+/// Detection replays the full pipeline over every node, so even a tiny
+/// LRU absorbs the repeat traffic of a day-sweep.
+const DETECT_CACHE_CAPACITY: usize = 8;
 
 /// Per-shard resource bounds, fixed at registration.
 #[derive(Debug, Clone, Copy)]
@@ -52,11 +59,6 @@ pub(crate) struct SnapshotData {
     pub(crate) fingerprint: u64,
 }
 
-/// Rendered `detect` payloads kept per sybil shard, keyed `(day, top_k)`.
-/// Detection replays the full pipeline over every node, so even a tiny
-/// LRU absorbs the repeat traffic of a day-sweep.
-const DETECT_CACHE_CAPACITY: usize = 8;
-
 /// The adversarial side of a shard: the planted ground truth and the
 /// per-day follow attribution the detection pipeline consumes. Present
 /// only when the snapshot was registered with `sybil:true` (which in turn
@@ -68,8 +70,8 @@ pub(crate) struct SybilState {
     /// `daily_follows[d]` = the `(source, target)` follow events of churn
     /// day `d + 1`, in event order — the burst scorer's attribution.
     pub(crate) daily_follows: Vec<Vec<(NodeId, NodeId)>>,
-    cache: Mutex<Vec<((u32, usize), Arc<CachedSection>, u64)>>,
-    clock: Mutex<u64>,
+    /// Rendered detection payloads keyed `(day, top_k)`.
+    pub(crate) replies: FlightCache<(u32, usize), CachedSection>,
 }
 
 impl SybilState {
@@ -77,46 +79,7 @@ impl SybilState {
         labels: PlantedLabels,
         daily_follows: Vec<Vec<(NodeId, NodeId)>>,
     ) -> Self {
-        Self { labels, daily_follows, cache: Mutex::new(Vec::new()), clock: Mutex::new(0) }
-    }
-
-    fn tick(&self) -> u64 {
-        let mut clock = self.clock.lock().expect("detect clock lock");
-        *clock += 1;
-        *clock
-    }
-
-    /// Cached rendered payload for `(day, top_k)`, marking it
-    /// most-recently-used on a hit.
-    pub(crate) fn cached(&self, day: u32, top_k: usize) -> Option<Arc<CachedSection>> {
-        let tick = self.tick();
-        let mut cache = self.cache.lock().expect("detect cache lock");
-        cache.iter_mut().find(|(k, _, _)| *k == (day, top_k)).map(|entry| {
-            entry.2 = tick;
-            Arc::clone(&entry.1)
-        })
-    }
-
-    /// Insert a rendered payload, evicting the least-recently-used entry
-    /// past capacity. A concurrent insert of the same key keeps the first
-    /// copy (detection is deterministic, the bytes are identical).
-    pub(crate) fn insert(&self, day: u32, top_k: usize, value: Arc<CachedSection>) {
-        let tick = self.tick();
-        let mut cache = self.cache.lock().expect("detect cache lock");
-        if let Some(entry) = cache.iter_mut().find(|(k, _, _)| *k == (day, top_k)) {
-            entry.2 = tick;
-            return;
-        }
-        cache.push(((day, top_k), value, tick));
-        if cache.len() > DETECT_CACHE_CAPACITY {
-            let oldest = cache
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, _, used))| *used)
-                .map(|(i, _)| i)
-                .expect("non-empty over capacity");
-            cache.swap_remove(oldest);
-        }
+        Self { labels, daily_follows, replies: FlightCache::new(DETECT_CACHE_CAPACITY) }
     }
 }
 
@@ -128,76 +91,33 @@ pub(crate) struct TemporalState {
     /// Churn master seed (reported in `status`).
     pub(crate) seed: u64,
     /// Planted sybil workload, when registered with `sybil:true`.
-    pub(crate) sybil: Option<Arc<SybilState>>,
-    day_cache: Mutex<Vec<(u32, Arc<SnapshotData>, u64)>>,
-    day_clock: Mutex<u64>,
+    pub(crate) sybil: Option<SybilState>,
+    days: FlightCache<u32, SnapshotData>,
 }
 
 impl TemporalState {
-    pub(crate) fn new(timeline: Timeline, seed: u64) -> Self {
-        Self {
-            timeline,
-            seed,
-            sybil: None,
-            day_cache: Mutex::new(Vec::new()),
-            day_clock: Mutex::new(0),
-        }
-    }
-
-    /// Attach the planted workload's ground truth and attribution.
-    pub(crate) fn with_sybil(mut self, state: SybilState) -> Self {
-        self.sybil = Some(Arc::new(state));
-        self
+    pub(crate) fn new(timeline: Timeline, seed: u64, sybil: Option<SybilState>) -> Self {
+        Self { timeline, seed, sybil, days: FlightCache::new(DAY_CACHE_CAPACITY) }
     }
 
     /// The dataset as of end of churn `day`: the base snapshot with its
-    /// graph replaced by the timeline's materialization. Returns the data
-    /// plus whether a fresh materialization was required (`true` = the
-    /// day-cache missed and a replay ran).
+    /// graph replaced by the timeline's materialization. The replay runs
+    /// once per day however many requests want it concurrently; a
+    /// [`Source::Computed`] lookup is one fresh materialization.
     pub(crate) fn day_data(
         &self,
         day: u32,
         base: &SnapshotData,
-    ) -> Result<(Arc<SnapshotData>, bool), VnetError> {
-        let tick = {
-            let mut clock = self.day_clock.lock().expect("day clock lock");
-            *clock += 1;
-            *clock
-        };
-        {
-            let mut cache = self.day_cache.lock().expect("day cache lock");
-            if let Some(entry) = cache.iter_mut().find(|(d, _, _)| *d == day) {
-                entry.2 = tick;
-                return Ok((Arc::clone(&entry.1), false));
-            }
-        }
-        // Materialize outside the cache lock: replays take milliseconds
-        // and concurrent requests for *different* days shouldn't serialize.
-        let graph = self
-            .timeline
-            .graph_as_of(day)
-            .map_err(VnetError::InvalidInput)?;
-        let dataset = Dataset { graph, ..base.dataset.clone() };
-        let fingerprint = dataset.fingerprint();
-        let data = Arc::new(SnapshotData { dataset, fingerprint });
-        let mut cache = self.day_cache.lock().expect("day cache lock");
-        if let Some(entry) = cache.iter_mut().find(|(d, _, _)| *d == day) {
-            // A concurrent materialization of the same day won the race;
-            // serve its copy so all readers share one allocation.
-            entry.2 = tick;
-            return Ok((Arc::clone(&entry.1), true));
-        }
-        cache.push((day, Arc::clone(&data), tick));
-        if cache.len() > DAY_CACHE_CAPACITY {
-            let oldest = cache
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, _, used))| *used)
-                .map(|(i, _)| i)
-                .expect("non-empty over capacity");
-            cache.swap_remove(oldest);
-        }
-        Ok((data, true))
+    ) -> (Source, Outcome<SnapshotData>) {
+        self.days.get_or_compute(day, || {
+            let graph = self
+                .timeline
+                .graph_as_of(day)
+                .map_err(|e| error_reply(&VnetError::InvalidInput(e)))?;
+            let dataset = Dataset { graph, ..base.dataset.clone() };
+            let fingerprint = dataset.fingerprint();
+            Ok(SnapshotData { dataset, fingerprint })
+        })
     }
 }
 
@@ -207,8 +127,8 @@ pub(crate) struct Shard {
     data: Mutex<Arc<SnapshotData>>,
     temporal: Mutex<Option<Arc<TemporalState>>>,
     pub(crate) executor: Executor,
-    pub(crate) cache: Mutex<ResultCache>,
-    pub(crate) flights: Arc<FlightMap>,
+    /// Section payloads, keyed by their full provenance.
+    pub(crate) cache: FlightCache<CacheKey, CachedSection>,
     /// This shard's labelled hot-path counters (interned once here; the
     /// request path records through them lock-free).
     pub(crate) stats: ShardStats,
@@ -229,8 +149,7 @@ impl Shard {
             data: Mutex::new(Arc::new(SnapshotData { dataset, fingerprint })),
             temporal: Mutex::new(None),
             executor: Executor::new(limits.workers, limits.queue_depth, obs, name, exec_telemetry),
-            cache: Mutex::new(ResultCache::new(limits.cache_capacity)),
-            flights: Arc::new(FlightMap::new()),
+            cache: FlightCache::new(limits.cache_capacity),
             stats: stats.shard_stats(name),
         }
     }
@@ -271,7 +190,7 @@ impl ShardRegistry {
     }
 
     /// Register (or refresh) `name`, returning the dataset fingerprint.
-    /// First registration builds the shard's executor/cache/flights;
+    /// First registration builds the shard's executor and cache;
     /// re-registration swaps the dataset and keeps the pools warm.
     pub(crate) fn register(
         &self,
@@ -342,23 +261,21 @@ mod tests {
 
         // Warm the cache, then re-register: the shard object (and its
         // cache) survives, only the dataset handle is swapped.
-        shard.cache.lock().expect("cache").insert(
-            crate::cache::CacheKey {
-                dataset: fp,
-                options: 1,
-                section: verified_net::Section::Basic,
-                day: None,
-            },
-            Arc::new(crate::cache::CachedSection {
-                payload_json: "{}".to_string(),
-                fingerprint: 0,
-            }),
-        );
+        let key = crate::cache::CacheKey {
+            dataset: fp,
+            options: 1,
+            section: verified_net::Section::Basic,
+            day: None,
+        };
+        let (_, warmed) = shard.cache.get_or_compute(key, || {
+            Ok(CachedSection { payload_json: "{}".to_string(), fingerprint: 0 })
+        });
+        assert!(warmed.is_ok());
         let fp2 = registry.register("a", ds.clone(), None, LIMITS, &obs, &stats);
         assert_eq!(fp2, fp);
         let again = registry.get("a").expect("shard exists");
         assert!(Arc::ptr_eq(&shard, &again), "re-register rebuilt the shard");
-        assert_eq!(again.cache.lock().expect("cache").len(), 1, "cache was dropped");
+        assert_eq!(again.cache.len(), 1, "cache was dropped");
         assert_eq!(obs.metrics().counter("serve.snapshots", &[]), 1);
 
         // Shutdown the executor so its worker threads are joined.

@@ -5,9 +5,9 @@
 //! construction — the hot path does atomic adds through the handles and
 //! never formats a label string or takes the registry mutex (the old
 //! path did both on every request; see `vnet_obs::telemetry`). Cold-path
-//! metrics — connection lifecycle, cache misses (amortized by a full
-//! section computation), drains, panics — stay on the plain [`Obs`]
-//! registry calls where the lock cost is irrelevant.
+//! metrics — connection lifecycle, cache evictions and entry counts,
+//! drains, panics — stay on the plain [`Obs`] registry calls where the
+//! lock cost is irrelevant.
 //!
 //! The split is invisible to readers: the server attaches its
 //! [`Telemetry`] to its [`Obs`], so every snapshot (`metrics`, `status`,
@@ -50,7 +50,8 @@ pub const STAGES: [&str; 5] = ["framing", "admission", "queue", "execute", "writ
 /// Global (unlabelled) hot-path handles plus the stage histograms.
 pub(crate) struct ServeStats {
     pub(crate) telemetry: Arc<Telemetry>,
-    /// `serve.requests` — admitted analyze requests (global).
+    /// `serve.requests` — admitted `analyze` and `detect` requests
+    /// (global).
     pub(crate) requests: CounterId,
     /// `serve.admitted` — same population, kept for the admission tests'
     /// contract.
@@ -60,8 +61,18 @@ pub(crate) struct ServeStats {
     /// `serve.rejected{reason=queue_full}` (global; the per-shard twin
     /// lives in [`ShardStats`]).
     pub(crate) rejected_queue_full: CounterId,
+    /// `serve.rejected{reason=timeout}` — requests that outlived their
+    /// compute budget.
+    pub(crate) rejected_timeout: CounterId,
+    /// `serve.detect_requests` — admitted `detect` requests.
+    pub(crate) detect_requests: CounterId,
+    /// `serve.cancelled_jobs` — jobs that observed their cancellation
+    /// flag and stopped early.
+    pub(crate) cancelled_jobs: CounterId,
     /// `cache.hits` (global).
     pub(crate) cache_hits: CounterId,
+    /// `cache.misses` (global) — lookups that led a computation.
+    pub(crate) cache_misses: CounterId,
     /// `serve.asof_cache_hits` — section-cache hits served for an
     /// `as_of` (time-travel) request; the delta-aware cache's win metric.
     pub(crate) asof_cache_hits: CounterId,
@@ -96,7 +107,11 @@ impl ServeStats {
             rejected_rate_limited: telemetry
                 .counter("serve.rejected", &[("reason", "rate_limited")]),
             rejected_queue_full: telemetry.counter("serve.rejected", &[("reason", "queue_full")]),
+            rejected_timeout: telemetry.counter("serve.rejected", &[("reason", "timeout")]),
+            detect_requests: telemetry.counter("serve.detect_requests", &[]),
+            cancelled_jobs: telemetry.counter("serve.cancelled_jobs", &[]),
             cache_hits: telemetry.counter("cache.hits", &[]),
+            cache_misses: telemetry.counter("cache.misses", &[]),
             asof_cache_hits: telemetry.counter("serve.asof_cache_hits", &[]),
             asof_materializations: telemetry.counter("serve.asof_materializations", &[]),
             coalesced: telemetry.counter("serve.coalesced", &[]),
@@ -115,6 +130,7 @@ impl ServeStats {
         ShardStats {
             requests: self.telemetry.counter("serve.requests", labels),
             hits: self.telemetry.counter("cache.hits", labels),
+            misses: self.telemetry.counter("cache.misses", labels),
             coalesced: self.telemetry.counter("serve.coalesced", labels),
             rejected_queue_full: self
                 .telemetry
@@ -134,6 +150,8 @@ pub(crate) struct ShardStats {
     pub(crate) requests: CounterId,
     /// `cache.hits{shard=…}`.
     pub(crate) hits: CounterId,
+    /// `cache.misses{shard=…}` (section cache only).
+    pub(crate) misses: CounterId,
     /// `serve.coalesced{shard=…}`.
     pub(crate) coalesced: CounterId,
     /// `serve.rejected{reason=queue_full,shard=…}`.

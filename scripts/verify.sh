@@ -29,7 +29,7 @@
 #                             (overlay/counter/dynamic-PageRank bit-identity),
 #                             the churn-replay + incremental-vs-scratch
 #                             integration battery, the as_of wire battery
-#                             (v1 envelope, deprecation note, churn oracle),
+#                             (v1 envelope, churn oracle),
 #                             and the temporal-scoped clippy wall
 #   scripts/verify.sh serve-soak
 #                             soak lane: the deterministic in-process
@@ -45,10 +45,12 @@
 #                             detect wire battery, and the detect-scoped
 #                             clippy wall
 #   scripts/verify.sh         tier-1: release build + full quiet test suite
-#   scripts/verify.sh full    tier-1 plus the soak and obs-bench lanes,
-#                             clippy and rustdoc, warnings denied, and the compat
-#                             grep lint (deprecated *_observed shims live
-#                             only in compat.rs)
+#   scripts/verify.sh full    tier-1 plus the obs, par, serve, temporal,
+#                             serve-soak, sybil, obs-bench and graph-scale
+#                             lanes, workspace clippy and rustdoc with
+#                             warnings denied,
+#                             and the grep lints (no *_observed public
+#                             function, no #[deprecated] item)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -124,6 +126,9 @@ tier1)
 full)
     cargo build --release
     cargo test -q
+    "$0" obs
+    "$0" par
+    "$0" serve
     "$0" temporal
     "$0" serve-soak
     "$0" sybil

@@ -1,16 +1,16 @@
 //! Loopback battery for the v1 wire envelope and the time-travel
-//! (`as_of`) serve path: envelope goldens, strict unknown-key rejection,
-//! the legacy deprecation note's exact bytes, end-to-end `as_of` replies
+//! (`as_of`) serve path: strict envelope and unknown-key rejection
+//! (unversioned lines are `invalid_input`), end-to-end `as_of` replies
 //! checked against an out-of-process churn oracle (zero divergence over
 //! a mini-soak), the delta-aware cache's `serve.asof_cache_hits`
-//! accounting, and the canonicalized-cache-key regression (key order,
-//! whitespace, and envelope generation never cause a spurious miss).
+//! accounting, and the canonicalized-cache-key regression (key order and
+//! whitespace never cause a spurious miss).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
 use verified_net::{AnalysisCtx, Dataset, SynthesisConfig};
-use vnet_serve::{Server, ServerConfig, DEPRECATION_NOTE};
+use vnet_serve::{Server, ServerConfig};
 use vnet_synth::{ChurnConfig, ChurnStream};
 
 fn dataset() -> &'static Dataset {
@@ -57,38 +57,27 @@ fn error_code(reply: &str) -> String {
 }
 
 #[test]
-fn legacy_replies_carry_the_deprecation_note_and_v1_replies_do_not() {
+fn unversioned_lines_are_invalid_input_and_v1_replies_are_unchanged() {
     let handle = start();
     handle.register_dataset("snap", dataset().clone());
     let mut c = Client::connect(handle.local_addr());
 
-    // Golden bytes: the note lands immediately after the `ok` field.
-    let legacy = c.req(r#"{"cmd":"status"}"#);
-    let expected_prefix = format!(
-        "{{\"ok\":true,\"deprecation\":{}",
-        serde_json::to_string(DEPRECATION_NOTE).unwrap()
-    );
-    assert!(
-        legacy.starts_with(&expected_prefix),
-        "legacy status reply lost the deprecation note: {legacy}"
-    );
+    // No `"v"` key: a typed refusal, whatever the command.
+    for line in [
+        r#"{"cmd":"status"}"#,
+        r#"{"cmd":"analyze","snapshot":"snap","sections":["basic"]}"#,
+    ] {
+        let reply = c.req(line);
+        assert_eq!(error_code(&reply), "invalid_input", "line {line} gave {reply}");
+        assert!(reply.contains("\\\"v\\\":1"), "refusal must name the envelope: {reply}");
+    }
 
+    // The v1 reply carries no annotation, and the refusals did no work.
     let v1 = c.req(r#"{"v":1,"cmd":"status"}"#);
-    assert!(!v1.contains("deprecation"), "v1 reply must not carry the note: {v1}");
-
-    // Stripping the note must recover the exact v1 bytes: the two paths
-    // share one handler and differ only by the annotation.
-    let stripped = legacy.replacen(
-        &format!(",\"deprecation\":{}", serde_json::to_string(DEPRECATION_NOTE).unwrap()),
-        "",
-        1,
-    );
-    assert_eq!(stripped, v1, "legacy reply is not the v1 reply plus a note");
-
-    // Error replies from parsed legacy requests are annotated too.
-    let err = c.req(r#"{"cmd":"analyze","snapshot":"ghost","sections":["basic"]}"#);
-    assert_eq!(error_code(&err), "unknown_snapshot");
-    assert!(err.contains("deprecation"), "legacy error reply lost the note: {err}");
+    assert!(v1.starts_with("{\"ok\":true,\"snapshots\":[\"snap\"]"), "v1 status: {v1}");
+    let metrics = c.req(r#"{"v":1,"cmd":"metrics"}"#);
+    assert_eq!(counter(&metrics, "serve.bad_requests"), 2, "metrics: {metrics}");
+    assert_eq!(counter(&metrics, "serve.requests"), 0, "metrics: {metrics}");
 
     handle.shutdown();
     handle.join();
@@ -115,12 +104,6 @@ fn v1_rejects_unknown_keys_and_versions_with_invalid_input() {
     // Unsupported version.
     let reply = c.req(r#"{"v":2,"cmd":"status"}"#);
     assert_eq!(error_code(&reply), "invalid_input", "reply: {reply}");
-
-    // The same misspelled option under the legacy envelope still works
-    // (lenient by contract), annotated with the deprecation note.
-    let reply =
-        c.req(r#"{"cmd":"analyze","snapshot":"snap","sections":["basic"],"options":{"boostrap_reps":4}}"#);
-    assert_eq!(json(&reply)["ok"].as_bool(), Some(true), "reply: {reply}");
 
     handle.shutdown();
     handle.join();
@@ -211,13 +194,12 @@ fn equivalent_requests_share_one_cache_entry_regardless_of_spelling() {
     handle.register_dataset("s", dataset().clone());
     let mut c = Client::connect(handle.local_addr());
 
-    // One semantic request, four spellings: v1 canonical order, v1
-    // shuffled key order, v1 with whitespace, and the legacy envelope.
+    // One semantic request, three spellings: canonical order, shuffled
+    // key order, and extra whitespace.
     let spellings = [
         r#"{"v":1,"cmd":"analyze","snapshot":"s","sections":["basic"],"options":{"seed":5}}"#,
         r#"{"options":{"seed":5},"sections":["basic"],"snapshot":"s","cmd":"analyze","v":1}"#,
         r#"  {"v": 1, "cmd": "analyze", "snapshot": "s", "sections": ["basic"], "options": {"seed": 5}}  "#,
-        r#"{"cmd":"analyze","snapshot":"s","sections":["basic"],"options":{"seed":5}}"#,
     ];
     let mut sections = Vec::new();
     for line in spellings {
@@ -230,10 +212,10 @@ fn equivalent_requests_share_one_cache_entry_regardless_of_spelling() {
         "equivalent spellings produced different section payloads"
     );
 
-    // The cache proves canonicalization: one miss, three hits.
+    // The cache proves canonicalization: one miss, two hits.
     let metrics = c.req(r#"{"v":1,"cmd":"metrics"}"#);
     assert_eq!(counter(&metrics, "cache.misses"), 1, "metrics: {metrics}");
-    assert_eq!(counter(&metrics, "cache.hits"), 3, "metrics: {metrics}");
+    assert_eq!(counter(&metrics, "cache.hits"), 2, "metrics: {metrics}");
 
     handle.shutdown();
     handle.join();

@@ -138,3 +138,31 @@ fn detect_round_trip_day_awareness_and_errors() {
     handle.shutdown();
     handle.join();
 }
+
+/// `elite_core` averages per-node follower counts, and a sybil snapshot's
+/// graph has more nodes than profiles: the section must refuse with a
+/// typed `invalid_input` on the base snapshot and at `as_of`, without
+/// panicking an executor worker.
+#[test]
+fn elite_core_on_a_sybil_snapshot_is_invalid_input_not_a_panic() {
+    let handle = Server::start(ServerConfig::default()).expect("bind loopback server");
+    let mut c = Client::connect(handle.local_addr());
+    let reg = c.req(r#"{"v":1,"cmd":"register","name":"adv","scale":"small","churn_days":3,"sybil":true}"#);
+    assert_eq!(json(&reg)["ok"].as_bool(), Some(true), "register failed: {reg}");
+    for line in [
+        r#"{"v":1,"cmd":"analyze","snapshot":"adv","sections":["elite_core"]}"#,
+        r#"{"v":1,"cmd":"analyze","snapshot":"adv","sections":["elite_core"],"as_of":2}"#,
+    ] {
+        let reply = c.req(line);
+        assert_eq!(error_code(&reply), "invalid_input", "line {line} gave {reply}");
+    }
+    // The planted graph still serves the sections that need no profiles.
+    let basic = c.req(r#"{"v":1,"cmd":"analyze","snapshot":"adv","sections":["basic"]}"#);
+    assert_eq!(json(&basic)["ok"].as_bool(), Some(true), "basic failed: {basic}");
+    let metrics = c.req(r#"{"v":1,"cmd":"metrics"}"#);
+    let panics = json(&metrics)["counters"]["serve.worker_panics"].as_u64().unwrap_or(0);
+    assert_eq!(panics, 0, "metrics: {metrics}");
+
+    handle.shutdown();
+    handle.join();
+}

@@ -2,14 +2,16 @@
 //! round-trips, cache-hit byte-identity (the acceptance criterion of the
 //! service design — a cached reply must be bit-identical to a cold
 //! computation, proven by the `cache.hits`/`cache.misses` counters),
-//! malformed-request and backpressure replies, per-request timeouts, and
-//! graceful-shutdown draining.
+//! malformed-request and backpressure replies, per-request timeouts,
+//! graceful-shutdown draining, and a framing + parsing fuzz property
+//! (hostile bytes yield typed errors, never a panic).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
+use proptest::prelude::*;
 use verified_net::{AnalysisCtx, Dataset, SynthesisConfig};
-use vnet_serve::{Server, ServerConfig};
+use vnet_serve::{parse_request, Frame, LineReader, Server, ServerConfig, MAX_LINE_BYTES};
 
 /// One small dataset shared by every test in this file (synthesis is the
 /// expensive part; registration clones are cheap by comparison).
@@ -180,17 +182,30 @@ fn queue_full_backpressure_reply() {
 
 #[test]
 fn per_request_timeout_reply() {
-    // A 1 ms budget cannot cover a centrality run: the client gets a
-    // structured timeout while the worker finishes in the background
-    // (shutdown below still drains it).
+    // A 1 ms budget covers neither a centrality run nor a cold detection:
+    // both commands get a structured timeout from the shared request
+    // pipeline while their workers finish in the background (shutdown
+    // below still drains them).
     let config = ServerConfig { request_timeout_millis: 1, ..ServerConfig::default() };
     let handle = start(config);
     handle.register_dataset("s", dataset().clone());
     let mut c = Client::connect(handle.local_addr());
-    let reply = c.req(r#"{"v":1,"cmd":"analyze","snapshot":"s","sections":["centrality"]}"#);
-    let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
-    assert_eq!(v["ok"].as_bool(), Some(false));
-    assert_eq!(v["error"]["code"].as_str(), Some("timeout"));
+    // Registration runs on the connection thread, outside the budget.
+    let reg = c.req(
+        r#"{"v":1,"cmd":"register","name":"adv","scale":"small","churn_days":4,"sybil":true}"#,
+    );
+    assert!(reg.contains("\"ok\":true"), "sybil register failed: {reg}");
+    for line in [
+        r#"{"v":1,"cmd":"analyze","snapshot":"s","sections":["centrality"]}"#,
+        r#"{"v":1,"cmd":"detect","snapshot":"adv"}"#,
+    ] {
+        let reply = c.req(line);
+        let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+        assert_eq!(v["ok"].as_bool(), Some(false), "line {line} gave {reply}");
+        assert_eq!(v["error"]["code"].as_str(), Some("timeout"), "line {line} gave {reply}");
+    }
+    let metrics = c.req(r#"{"v":1,"cmd":"metrics"}"#);
+    assert_eq!(counter(&metrics, "serve.rejected{reason=timeout}"), 2, "metrics: {metrics}");
     handle.shutdown();
     handle.join();
 }
@@ -228,4 +243,83 @@ fn graceful_shutdown_drains_in_flight_work() {
 
     // After shutdown, the listener is gone: new connections fail.
     assert!(TcpStream::connect(addr).is_err(), "server still accepting after shutdown");
+}
+
+/// One hostile input for the framer + parser, picked by `kind`: raw
+/// bytes (mostly non-UTF-8), a line past [`MAX_LINE_BYTES`], deeply
+/// nested JSON, an unversioned object, or a v1 line with junk spliced
+/// in. `noise` seeds the variable parts.
+fn hostile_input(kind: u8, noise: &[u8], depth: usize) -> Vec<u8> {
+    let cmds = ["status", "analyze", "detect", "register", "metrics", "watch", "shutdown"];
+    let cmd = cmds[noise.first().copied().unwrap_or(0) as usize % cmds.len()];
+    match kind {
+        0 => noise.to_vec(),
+        1 => {
+            let mut line = vec![b'{'; MAX_LINE_BYTES + 1 + depth % 4096];
+            line.extend_from_slice(noise);
+            line
+        }
+        2 => format!(
+            "{{\"v\":1,\"cmd\":\"status\",\"snapshot\":{}1{}}}\n",
+            "[".repeat(depth),
+            "]".repeat(depth / 2)
+        )
+        .into_bytes(),
+        3 => format!("{{\"cmd\":\"{cmd}\",\"snapshot\":\"s\",\"sections\":[\"basic\"]}}\n")
+            .into_bytes(),
+        _ => {
+            let mut line = format!("{{\"v\":1,\"cmd\":\"{cmd}\",\"snapshot\":\"").into_bytes();
+            line.extend_from_slice(noise);
+            line.extend_from_slice(b"\"}\n{\"v\":1,\"cmd\":\"status\"}\n");
+            line
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Whatever bytes arrive, the framer yields lines or a typed I/O
+    /// error, and every line parses to a `Request` or a typed protocol
+    /// error — never a panic, never a stack overflow.
+    #[test]
+    fn hostile_bytes_yield_typed_errors_or_requests(
+        kind in 0u8..5,
+        noise in proptest::collection::vec(0u8..=255, 0..512),
+        depth in 1usize..200_000,
+    ) {
+        let bytes = hostile_input(kind, &noise, depth);
+        let mut reader = LineReader::new(&bytes[..]);
+        let mut lines = 0;
+        loop {
+            match reader.next_frame() {
+                Ok(Frame::Line(line)) => {
+                    lines += 1;
+                    match parse_request(&line) {
+                        Ok(_) => prop_assert!(line.contains("\"v\""), "unversioned line parsed: {line:.200}"),
+                        Err(e) => {
+                            let code = e.code();
+                            prop_assert!(
+                                matches!(code, "bad_request" | "invalid_input" | "unknown_section"),
+                                "untyped parse error {code}: {e}"
+                            );
+                            if kind == 3 {
+                                prop_assert_eq!(code, "invalid_input");
+                            }
+                        }
+                    }
+                }
+                Ok(Frame::Closed) => break,
+                Ok(Frame::Idle) => prop_assert!(false, "a byte slice never times out"),
+                Err(e) => {
+                    prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                    prop_assert_eq!(kind, 1, "only the oversized line overflows the framer");
+                    break;
+                }
+            }
+        }
+        if kind >= 2 {
+            prop_assert!(lines >= 1, "newline-terminated input produced no line");
+        }
+    }
 }

@@ -1,8 +1,8 @@
 //! Shard-isolation battery: one hot snapshot must not starve another,
 //! and shard-targeted `status`/`metrics` replies are golden.
 //!
-//! Every registered snapshot owns its own bounded-queue executor, LRU
-//! cache, and single-flight map (`crates/serve/src/shards.rs`). The
+//! Every registered snapshot owns its own bounded-queue executor and LRU
+//! single-flight cache (`crates/serve/src/shards.rs`). The
 //! saturation test drives one shard's queue to capacity with slow
 //! centrality jobs and proves — via shard-targeted `status` and a live
 //! `analyze` — that a second snapshot keeps being admitted and served.
@@ -51,7 +51,7 @@ impl Client {
 /// enough that queue occupancy is observable from outside.
 fn slow_analyze(snapshot: &str, seed: u64) -> String {
     format!(
-        "{{\"cmd\":\"analyze\",\"snapshot\":\"{snapshot}\",\"sections\":[\"centrality\"],\"options\":{{\"seed\":{seed},\"betweenness_pivots\":64}}}}"
+        "{{\"v\":1,\"cmd\":\"analyze\",\"snapshot\":\"{snapshot}\",\"sections\":[\"centrality\"],\"options\":{{\"seed\":{seed},\"betweenness_pivots\":64}}}}"
     )
 }
 
@@ -59,7 +59,7 @@ fn slow_analyze(snapshot: &str, seed: u64) -> String {
 fn wait_for_occupancy(c: &mut Client, snapshot: &str, queued: u64, running: u64) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let status = c.req(&format!("{{\"cmd\":\"status\",\"snapshot\":\"{snapshot}\"}}"));
+        let status = c.req(&format!("{{\"v\":1,\"cmd\":\"status\",\"snapshot\":\"{snapshot}\"}}"));
         let v: serde_json::Value = serde_json::from_str(&status).expect("status parse");
         if v["shard"]["queued"].as_u64() == Some(queued)
             && v["shard"]["running"].as_u64() == Some(running)
