@@ -34,10 +34,10 @@ pub struct EigenReport {
 /// The paper computes the top 10,000 eigenvalues at 231k nodes and
 /// "discard\[s\] most of the smaller eigenvalues" for numerical reasons; at
 /// reproduction scale `k` defaults to ~400 with the same top-of-spectrum
-/// logic. The Lanczos matvec and the bootstrap replicates fan out over
-/// `ctx`'s pool; like every `vnet-par` stage, both are bit-identical at
-/// any thread count (the bootstrap draws one seed from `rng` and splits a
-/// stream per replicate). Solver counters (`algo.lanczos.*`) and sub-spans
+/// logic. The Lanczos matvec and reorthogonalization and the bootstrap
+/// replicates fan out over `ctx`'s pool; like every `vnet-par` stage, both
+/// are bit-identical at any thread count (the bootstrap draws one seed
+/// from `rng` and splits a stream per replicate). Solver counters (`algo.lanczos.*`) and sub-spans
 /// are recorded through `ctx`.
 pub fn eigen_analysis<R: Rng + ?Sized>(
     dataset: &Dataset,

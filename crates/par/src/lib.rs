@@ -6,8 +6,9 @@
 //! [`std::thread::scope`] for the `verified-net` workspace. The heavy
 //! stages of the paper reproduction — the semiparametric bootstrap
 //! goodness-of-fit test, pivot-sampled Brandes betweenness, BFS distance
-//! sampling, and the Lanczos / PageRank matrix-vector inner loops — all
-//! run through this crate, and all obey one contract:
+//! sampling, the Lanczos matrix-vector and reorthogonalization loops, and
+//! the PageRank matrix-vector loop — all run through this crate, and all
+//! obey one contract:
 //!
 //! > **The result is a function of the problem and the seed, never of the
 //! > thread count.** `threads = 1` and `threads = 64` produce bit-identical

@@ -8,7 +8,7 @@ use vnet_par::{ParPool, ParStats};
 /// computed independently, so sharding cannot change any output bit. Small
 /// operators (`n <= ROW_CHUNK`) decompose into a single task, which runs
 /// inline on the caller's thread.
-const ROW_CHUNK: usize = 4096;
+pub(crate) const ROW_CHUNK: usize = 4096;
 
 /// Symmetric Laplacian `L = D − A` of the undirected projection of a
 /// directed graph (an undirected edge `{u, v}` exists when either `u → v`

@@ -203,6 +203,8 @@ impl LogNormal {
             return Err(crate::StatsError::InvalidParameter("xmin must be > 0"));
         }
         let logs: Vec<f64> = data.iter().map(|&x| x.max(xmin).ln()).collect();
+        // ln x of every point, once per fit rather than once per candidate.
+        let ln_data: Vec<f64> = data.iter().map(|&x| x.ln()).collect();
         let m0 = crate::descriptive::mean(&logs).unwrap_or(0.0);
         let s0 = crate::descriptive::stddev(&logs).unwrap_or(1.0).max(1e-3);
         // Coarse-to-fine grid search around untruncated estimates.
@@ -215,7 +217,7 @@ impl LogNormal {
                     let mu = center.0 - span.0 + 2.0 * span.0 * i as f64 / 20.0;
                     let sigma = (center.1 - span.1 + 2.0 * span.1 * j as f64 / 20.0).max(1e-4);
                     let cand = LogNormal { mu, sigma, xmin };
-                    let ll: f64 = data.iter().map(|&x| cand.ln_pdf(x)).sum();
+                    let ll = cand.ln_likelihood(data, &ln_data);
                     if ll > best.2 {
                         best = (mu, sigma, ll);
                     }
@@ -233,17 +235,36 @@ impl LogNormal {
 
     /// Log-density of the truncated log-normal at `x`.
     pub fn ln_pdf(&self, x: f64) -> f64 {
+        self.ln_pdf_with(x, x.ln(), self.ln_normalizer())
+    }
+
+    /// `Σ ln_pdf(x)` over `data`, bit for bit, given `ln_data[i] =
+    /// data[i].ln()`: the normalizer is computed once per candidate
+    /// instead of once per point.
+    fn ln_likelihood(&self, data: &[f64], ln_data: &[f64]) -> f64 {
+        let norm = self.ln_normalizer();
+        data.iter().zip(ln_data).map(|(&x, &ln_x)| self.ln_pdf_with(x, ln_x, norm)).sum()
+    }
+
+    /// The per-candidate terms of [`ln_pdf`](Self::ln_pdf): `ln σ` and the
+    /// log of the normalizing mass `P(X >= xmin)` under the untruncated
+    /// law, `None` when that mass is not positive.
+    fn ln_normalizer(&self) -> (f64, Option<f64>) {
+        let tail = 0.5 * erfc((self.xmin.ln() - self.mu) / (self.sigma * std::f64::consts::SQRT_2));
+        (self.sigma.ln(), if tail <= 0.0 { None } else { Some(tail.ln()) })
+    }
+
+    /// [`ln_pdf`](Self::ln_pdf) at `x` from `ln_x = x.ln()` and the
+    /// candidate's [`ln_normalizer`](Self::ln_normalizer).
+    fn ln_pdf_with(&self, x: f64, ln_x: f64, (ln_sigma, ln_tail): (f64, Option<f64>)) -> f64 {
         if x < self.xmin {
             return f64::NEG_INFINITY;
         }
-        let z = (x.ln() - self.mu) / self.sigma;
-        // Normalizing constant: P(X >= xmin) under the untruncated law.
-        let tail = 0.5 * erfc((self.xmin.ln() - self.mu) / (self.sigma * std::f64::consts::SQRT_2));
-        if tail <= 0.0 {
+        let Some(ln_tail) = ln_tail else {
             return f64::NEG_INFINITY;
-        }
-        -x.ln() - self.sigma.ln() - 0.5 * (2.0 * std::f64::consts::PI).ln() - 0.5 * z * z
-            - tail.ln()
+        };
+        let z = (ln_x - self.mu) / self.sigma;
+        -ln_x - ln_sigma - 0.5 * (2.0 * std::f64::consts::PI).ln() - 0.5 * z * z - ln_tail
     }
 
     /// CDF of the truncated law at `x`.
@@ -459,6 +480,27 @@ mod tests {
         let fit = LogNormal::mle(&data, 1.0).unwrap();
         assert!((fit.mu - 2.0).abs() < 0.1, "mu={}", fit.mu);
         assert!((fit.sigma - 0.7).abs() < 0.1, "sigma={}", fit.sigma);
+    }
+
+    #[test]
+    fn lognormal_hoisted_likelihood_matches_ln_pdf_sum_bitwise() {
+        let xmin = 1.5;
+        let above: [f64; 9] = [1.5, 1.75, 2.0, 3.25, 7.0, 19.5, 42.0, 120.0, 1e4];
+        let mut with_below = above.to_vec();
+        with_below.insert(3, 1.25);
+        // The last candidate's tail mass underflows to 0: erfc(~707) = 0.
+        let candidates = [(0.5, 0.3), (1.0, 0.5), (2.0, 1.7), (-3.0, 0.05), (-1000.0, 1.0)];
+        let (mu, sigma) = candidates[candidates.len() - 1];
+        assert!(0.5 * erfc((f64::ln(xmin) - mu) / (sigma * std::f64::consts::SQRT_2)) <= 0.0);
+        for data in [&above[..], &with_below[..]] {
+            let ln_data: Vec<f64> = data.iter().map(|&x| x.ln()).collect();
+            for &(mu, sigma) in &candidates {
+                let cand = LogNormal { mu, sigma, xmin };
+                let direct: f64 = data.iter().map(|&x| cand.ln_pdf(x)).sum();
+                let hoisted = cand.ln_likelihood(data, &ln_data);
+                assert_eq!(hoisted.to_bits(), direct.to_bits(), "mu={mu} sigma={sigma} {data:?}");
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@
 #                             obs_overhead regression gate (sharded
 #                             telemetry must beat the global-mutex
 #                             registry at >= 2 recording threads)
-#   scripts/verify.sh par     parallelism lane: vnet-par unit tests + the
-#                             cross-thread-count determinism battery
+#   scripts/verify.sh par     parallelism lane: vnet-par and vnet-spectral
+#                             unit tests + the cross-thread-count
+#                             determinism battery
 #   scripts/verify.sh serve   service lane: vnet-serve unit tests + the
 #                             loopback wire-protocol, concurrency,
 #                             admission-conformance and shard-isolation
@@ -74,6 +75,8 @@ obs-bench)
     ;;
 par)
     cargo test -q -p vnet-par
+    # The Lanczos thread-invariance and DGKS re-pass unit tests.
+    cargo test -q -p vnet-spectral
     cargo test -q -p vnet-integration-tests --test par_determinism
     ;;
 serve)

@@ -221,3 +221,25 @@ proptest! {
         prop_assert!((s2 - trace2).abs() < 1e-5 * trace2.max(1.0), "Σλ² {} vs {}", s2, trace2);
     }
 }
+
+/// The eigensolver ablation as a gate: on the small tier, Lanczos (the
+/// solver the battery uses) and power iteration with deflation (the method
+/// the paper names) agree on the top 8 Laplacian eigenvalues to < 1e-4
+/// relative. The `ablation_eigensolver` bench times the same pair.
+#[test]
+fn lanczos_agrees_with_power_iteration_on_small_tier() {
+    use rand::SeedableRng;
+    use verified_net::{Dataset, SynthesisConfig};
+    use vnet_spectral::power_iteration_topk;
+    let ctx = vnet_ctx::AnalysisCtx::quiet();
+    let ds = Dataset::build(&SynthesisConfig::small(), &ctx);
+    let lap = SymLaplacian::from_digraph(&ds.graph);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let lanczos = lanczos_topk(&lap, 8, 60, &mut rng, &ctx);
+    let power = power_iteration_topk(&lap, 8, 1e-10, 2_000, &mut rng);
+    assert_eq!((lanczos.len(), power.len()), (8, 8));
+    for (i, (l, p)) in lanczos.iter().zip(&power).enumerate() {
+        let rel = ((l - p) / l.max(1e-9)).abs();
+        assert!(rel < 1e-4, "eigenvalue {i}: lanczos {l} vs power {p} (rel {rel:e})");
+    }
+}

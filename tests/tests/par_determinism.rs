@@ -27,9 +27,18 @@ use vnet_synth::{VerifiedNetConfig, VerifiedNetwork};
 /// prime that never divides the task counts evenly.
 const SWEEP: [usize; 4] = [1, 2, 4, 7];
 
+/// Nodes of the Lanczos sweep's graph: more than three 4096-row mat-vec
+/// chunks and a dozen 1024-row reorthogonalization chunks, so every row
+/// split runs several tasks.
+const LANCZOS_NODES: u32 = 13_000;
+
 fn tiny_net(seed: u64) -> vnet_graph::DiGraph {
+    synth_net(seed, 400)
+}
+
+fn synth_net(seed: u64, nodes: u32) -> vnet_graph::DiGraph {
     let cfg = VerifiedNetConfig {
-        nodes: 400,
+        nodes,
         mean_out_degree: 9.0,
         celebrity_sinks: 2,
         ..VerifiedNetConfig::default()
@@ -104,7 +113,7 @@ proptest! {
 #[test]
 fn lanczos_and_pagerank_thread_invariant() {
     let g = tiny_net(0xA11CE);
-    let lap = SymLaplacian::from_digraph(&g);
+    let lap = SymLaplacian::from_digraph(&synth_net(0xA11CE, LANCZOS_NODES));
     let eig = |threads: usize| {
         let mut rng = StdRng::seed_from_u64(17);
         lanczos_topk(&lap, 12, 40, &mut rng, &AnalysisCtx::with_threads(threads))
